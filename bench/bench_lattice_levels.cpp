@@ -10,10 +10,12 @@
 
 #include "bench_support.hpp"
 
+#include <chrono>
 #include <cstdio>
 
 #include "core/instrumentor.hpp"
 #include "observer/lattice.hpp"
+#include "observer/online.hpp"
 #include "program/corpus.hpp"
 #include "program/scheduler.hpp"
 #include "trace/channel.hpp"
@@ -73,25 +75,30 @@ BENCHMARK(BM_Lattice_IndependentWriters)
     ->Args({4, 4})
     ->Args({5, 3});
 
-void BM_Lattice_SerializedWriters(benchmark::State& state) {
-  // The other extreme: fully ordered relevant events — a path lattice.
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t writes = static_cast<std::size_t>(state.range(1));
+/// The other extreme: fully ordered relevant events — a path lattice.
+Computation buildSerialized(std::size_t threads, std::size_t writes) {
   const program::Program prog =
       program::corpus::serializedWriters(threads, writes);
   program::GreedyScheduler sched;
   const program::ExecutionRecord rec = program::runProgram(prog, sched);
 
-  observer::CausalityGraph graph;
+  Computation c;
   core::Instrumentor instr(
-      core::RelevancePolicy::writesOf({prog.vars.id("total")}), graph);
+      core::RelevancePolicy::writesOf({prog.vars.id("total")}), c.graph);
   for (const auto& e : rec.events) instr.onEvent(e);
-  graph.finalize();
-  const auto space = observer::StateSpace::byNames(prog.vars, {"total"});
+  c.graph.finalize();
+  c.space = observer::StateSpace::byNames(prog.vars, {"total"});
+  return c;
+}
+
+void BM_Lattice_SerializedWriters(benchmark::State& state) {
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  const std::size_t writes = static_cast<std::size_t>(state.range(1));
+  const Computation c = buildSerialized(threads, writes);
 
   observer::LatticeStats stats;
   for (auto _ : state) {
-    observer::ComputationLattice lattice(graph, space);
+    observer::ComputationLattice lattice(c.graph, c.space);
     stats = lattice.build();
     benchmark::DoNotOptimize(stats.totalNodes);
   }
@@ -100,6 +107,40 @@ void BM_Lattice_SerializedWriters(benchmark::State& state) {
   state.counters["runs"] = static_cast<double>(stats.pathCount);
 }
 BENCHMARK(BM_Lattice_SerializedWriters)->Args({3, 5})->Args({4, 8});
+
+void BM_Lattice_SerializedWritersOnline(benchmark::State& state) {
+  // The same path lattice fed to the OnlineAnalyzer one message at a time.
+  // Consumed messages are collected as the frontier passes them, so a
+  // level step costs the same however many levels came before it:
+  // ns_per_level stays flat as the trace grows.
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  const std::size_t writes = static_cast<std::size_t>(state.range(1));
+  const Computation c = buildSerialized(threads, writes);
+  std::vector<trace::Message> msgs;
+  for (const auto& ref : c.graph.observedOrder()) {
+    msgs.push_back(c.graph.message(ref));
+  }
+
+  std::uint64_t levels = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    observer::OnlineAnalyzer online(c.space, threads, nullptr);
+    for (const auto& m : msgs) online.onMessage(m);
+    online.endOfTrace();
+    levels = online.levelsCompleted();
+    benchmark::DoNotOptimize(levels);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  state.counters["levels"] = static_cast<double>(levels);
+  state.counters["ns_per_level"] =
+      elapsed.count() / static_cast<double>(state.iterations() * levels);
+}
+BENCHMARK(BM_Lattice_SerializedWritersOnline)
+    ->Args({2, 200})
+    ->Args({2, 800})
+    ->Args({2, 3200})
+    ->Args({16, 128});
 
 void printLevelTable() {
   std::printf(

@@ -687,8 +687,9 @@ bool ObserverDaemon::handleEvents(Conn& conn, const Frame& frame,
   }
   if (timestamped) {
     stream.inFlight.push_back(PendingFrame{std::move(frameMaxK), sendNs});
+    ++framesInFlight_;
   }
-  settleAnalyzedLocked();
+  settleAnalyzedLocked(*ss);
   noteViolationsLocked(*ss);
   maybeCheckpointLocked();
   return true;
@@ -706,7 +707,7 @@ void ObserverDaemon::noteStreamEnd(Conn& conn) {
     }
   }
   ss->session->noteStreamEnd();
-  settleAnalyzedLocked();
+  settleAnalyzedLocked(*ss);
   noteViolationsLocked(*ss);
   if (ss->session->finished() && !opts_.checkpointPath.empty()) {
     // A finished session's last epoch: the snapshot then holds the final
@@ -737,40 +738,38 @@ bool ObserverDaemon::allFinishedLocked() const {
   return true;
 }
 
-void ObserverDaemon::settleAnalyzedLocked() {
+void ObserverDaemon::settleAnalyzedLocked(SessionState& ss) {
+  if (ss.session == nullptr) return;
   const std::uint64_t now = telemetry::rawMonotonicNs();
-  std::int64_t totalInFlight = 0;
-  for (auto& [key, ss] : sessions_) {
-    if (ss.session == nullptr) continue;
-    const std::vector<LocalSeq>& ck = ss.session->consumedK();
-    const bool sessionDone = ss.session->finished();
-    for (auto& [id, stream] : ss.streams) {
-      while (!stream.inFlight.empty()) {
-        const PendingFrame& f = stream.inFlight.front();
-        bool analyzed = sessionDone;  // finalization consumed everything
-        if (!analyzed) {
-          analyzed = true;
-          for (std::size_t j = 0; j < f.maxK.size(); ++j) {
-            if (j >= ck.size() || ck[j] < f.maxK[j]) {
-              analyzed = false;
-              break;
-            }
+  const std::vector<LocalSeq>& ck = ss.session->consumedK();
+  const bool sessionDone = ss.session->finished();
+  for (auto& [id, stream] : ss.streams) {
+    while (!stream.inFlight.empty()) {
+      const PendingFrame& f = stream.inFlight.front();
+      bool analyzed = sessionDone;  // finalization consumed everything
+      if (!analyzed) {
+        analyzed = true;
+        for (std::size_t j = 0; j < f.maxK.size(); ++j) {
+          if (j >= ck.size() || ck[j] < f.maxK[j]) {
+            analyzed = false;
+            break;
           }
         }
-        if (!analyzed) break;  // frames settle in arrival order per stream
-        const std::uint64_t lag = lagNs(now, f.sendNs);
-        stream.snap.analyzeLag.observe(lag);
-        if constexpr (telemetry::kEnabled) {
-          PipelineMetrics::get().analyzeLagNs.record(lag);
-        }
-        stream.inFlight.pop_front();
       }
-      stream.snap.framesInFlight = stream.inFlight.size();
-      totalInFlight += static_cast<std::int64_t>(stream.inFlight.size());
+      if (!analyzed) break;  // frames settle in arrival order per stream
+      const std::uint64_t lag = lagNs(now, f.sendNs);
+      stream.snap.analyzeLag.observe(lag);
+      if constexpr (telemetry::kEnabled) {
+        PipelineMetrics::get().analyzeLagNs.record(lag);
+      }
+      stream.inFlight.pop_front();
+      --framesInFlight_;
     }
+    stream.snap.framesInFlight = stream.inFlight.size();
   }
   if constexpr (telemetry::kEnabled) {
-    PipelineMetrics::get().framesInFlight.set(totalInFlight);
+    PipelineMetrics::get().framesInFlight.set(
+        static_cast<std::int64_t>(framesInFlight_));
     const SessionState* def = defaultSessionLocked();
     PipelineMetrics::get().watermarkLevel.set(
         def != nullptr && def->session != nullptr

@@ -310,11 +310,11 @@ class ObserverDaemon {
   [[nodiscard]] const SessionState* defaultSessionLocked() const;
   [[nodiscard]] SessionState* sessionForLocked(const Conn& conn);
   [[nodiscard]] bool allFinishedLocked() const;
-  /// Retires in-flight frames a session's analyzer has fully consumed,
+  /// Retires in-flight frames `ss`'s analyzer has fully consumed,
   /// recording their emit-to-analyze lag, and refreshes the watermark and
-  /// budget gauges.  Call with mu_ held after anything that can advance a
-  /// lattice.
-  void settleAnalyzedLocked();
+  /// budget gauges.  Call with mu_ held after anything that can advance
+  /// that session's lattice (no other session's watermark moves).
+  void settleAnalyzedLocked(SessionState& ss);
   void noteViolationsLocked(SessionState& ss);
   /// Writes the snapshot file when any session crossed its checkpoint
   /// interval (call with mu_ held).
@@ -342,6 +342,8 @@ class ObserverDaemon {
   std::uint64_t duplicates_ = 0;
   std::uint64_t checkpointsWritten_ = 0;
   std::uint64_t sessionsRestored_ = 0;
+  /// Timestamped frames not yet settled, across every session's streams.
+  std::size_t framesInFlight_ = 0;
 
   std::mutex connsMu_;
   std::vector<std::shared_ptr<Conn>> conns_;

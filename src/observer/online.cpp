@@ -1,6 +1,7 @@
 #include "observer/online.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "observer/analysis.hpp"
@@ -20,6 +21,7 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
     : space_(std::move(space)), monitor_(monitor), opts_(opts) {
   buffered_.resize(threads);
   consumedK_.assign(threads, 0);
+  retainedFrom_.assign(threads, 0);
   // Level 0.
   detail::FrontierNode init;
   init.state = states_.intern(GlobalState(space_.initialValues()));
@@ -78,6 +80,22 @@ std::uint64_t OnlineAnalyzer::observedPathKey(const Cut& cut) const {
   return key;
 }
 
+void OnlineAnalyzer::frontierBounds(std::vector<LocalSeq>& minK,
+                                    std::vector<LocalSeq>& maxK) const {
+  // An empty frontier (an ended trace whose gaps disable every successor)
+  // pins nothing: minK stays at 0 so no message is collected.
+  minK.assign(buffered_.size(), frontier_.empty()
+                                    ? 0
+                                    : std::numeric_limits<LocalSeq>::max());
+  maxK.assign(buffered_.size(), 0);
+  for (const auto& [cut, node] : frontier_) {
+    for (ThreadId j = 0; j < cut.k.size(); ++j) {
+      minK[j] = std::min<LocalSeq>(minK[j], cut.k[j]);
+      maxK[j] = std::max<LocalSeq>(maxK[j], cut.k[j]);
+    }
+  }
+}
+
 const trace::Message* OnlineAnalyzer::find(ThreadId j, LocalSeq k) const {
   if (j >= buffered_.size()) return nullptr;
   const auto it = buffered_[j].find(k);
@@ -100,7 +118,9 @@ void OnlineAnalyzer::onMessage(const trace::Message& m) {
         " beyond the declared thread count " +
         std::to_string(buffered_.size()));
   }
-  if (!buffered_[j].emplace(k, m).second) {
+  // Indices up to consumedK_[j] all arrived already (and some of them
+  // were collected), so a repeat of one of them is a duplicate too.
+  if (k <= consumedK_[j] || !buffered_[j].emplace(k, m).second) {
     throw std::runtime_error("OnlineAnalyzer: duplicate message for thread " +
                              std::to_string(j) + " index " +
                              std::to_string(k));
@@ -188,11 +208,6 @@ void OnlineAnalyzer::expandOneLevel() {
                           return observedPathKey(cut);
                         });
 
-  // Consume: every event at the frontier's level is now folded in.  Each
-  // expansion uses one message per thread-successor; the per-level message
-  // consumption equals the number of distinct (j, k) pairs at this level,
-  // which is exactly the set of events whose EventRef appears.  We simply
-  // recompute pending_ from the high-water marks below.
   stats_.totalEdges += edges;
   stats_.totalNodes += next.size();
   stats_.peakLevelWidth = std::max(stats_.peakLevelWidth, next.size());
@@ -221,21 +236,23 @@ void OnlineAnalyzer::expandOneLevel() {
                         opts_.parallel.minFrontier);
   }
 
-  // Recompute pending: messages with index > max frontier k for their
-  // thread are still pending; consumed ones could be dropped here (true
-  // GC) — we keep them for path reconstruction but count precisely.  The
-  // per-thread maxima double as the consumption watermark the daemon
-  // measures emit-to-analyze lag against.
-  std::vector<LocalSeq> maxK(buffered_.size(), 0);
-  for (const auto& [cut, node] : frontier_) {
-    for (ThreadId j = 0; j < cut.k.size(); ++j) {
-      maxK[j] = std::max<LocalSeq>(maxK[j], cut.k[j]);
-    }
-  }
-  pending_ = 0;
+  // Consumption watermark and consumed-prefix GC, O(frontier x threads)
+  // per level.  Every message 1..maxK[j] has arrived (a cut only includes
+  // arrived events), so pending_ moves by old consumedK[j] - maxK[j]: down
+  // as the frontier advances, up when budget shedding lowers a thread's
+  // maximum and its messages become pending again.  The expansion above
+  // held pointers into buffered_; nothing does any more.
+  std::vector<LocalSeq> minK;
+  std::vector<LocalSeq> maxK;
+  frontierBounds(minK, maxK);
   for (ThreadId j = 0; j < buffered_.size(); ++j) {
-    for (const auto& [k, m] : buffered_[j]) {
-      if (k > maxK[j]) ++pending_;
+    pending_ += consumedK_[j];
+    pending_ -= maxK[j];
+    // Every next-level cut advances one of these, so the minimum never
+    // decreases and no cut asks for a message below it again.
+    // (j, minK[j]) itself stays: observedPathKey reads it.
+    for (; retainedFrom_[j] < minK[j]; ++retainedFrom_[j]) {
+      buffered_[j].erase(retainedFrom_[j]);
     }
   }
   consumedK_ = std::move(maxK);
@@ -518,6 +535,22 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
     }
   }
   liveFrontierBytes_ = r.u64();
+
+  // The incremental pending count and the GC watermark both rest on the
+  // frontier: re-derive them, check the stored ones, and collect what a
+  // checkpoint taken without GC still holds below the watermark.
+  std::vector<LocalSeq> minK;
+  std::vector<LocalSeq> maxK;
+  frontierBounds(minK, maxK);
+  if (maxK != consumedK_) return false;
+  std::size_t pending = 0;
+  for (ThreadId j = 0; j < buffered_.size(); ++j) {
+    std::erase_if(buffered_[j],
+                  [&](const auto& kv) { return kv.first < minK[j]; });
+    retainedFrom_[j] = minK[j];
+    for (const auto& [k, m] : buffered_[j]) pending += k > maxK[j] ? 1 : 0;
+  }
+  if (pending != pending_) return false;
 
   if (!readStats(r, stats_)) return false;
 

@@ -12,7 +12,10 @@
 // order (Theorem 3 makes per-thread positions recoverable from the clocks).
 // After each arrival it advances the lattice as many whole levels as the
 // buffered messages allow, runs the monitor over the new level, reports
-// violations immediately, and garbage-collects the previous level.  The
+// violations immediately, and garbage-collects the previous level together
+// with every buffered message no frontier cut can read again (witness
+// paths hold EventRefs, not messages), so a level step costs
+// O(frontier x threads) however long the trace has run.  The
 // offline ComputationLattice is the batch special case of this; the tests
 // assert they produce identical verdicts and statistics.
 #pragma once
@@ -95,7 +98,7 @@ class OnlineAnalyzer final : public trace::MessageSink {
     return consumedK_;
   }
 
-  /// Serializes the complete analyzer state — buffered messages, both
+  /// Serializes the complete analyzer state — still-buffered messages, both
   /// intern arenas, the live frontier (with its witness-path DAG), stats
   /// and violations — so an identically-constructed analyzer can restore()
   /// and continue to a byte-identical report.  Plugin state is NOT
@@ -106,7 +109,9 @@ class OnlineAnalyzer final : public trace::MessageSink {
 
   /// Inverse of checkpoint() on a freshly constructed analyzer with the
   /// same (space, threads, monitor/bus, options).  Rebuilds pointer
-  /// identity by re-interning arena contents in deterministic order.
+  /// identity by re-interning arena contents in deterministic order, and
+  /// collects buffered messages below the restored frontier (a checkpoint
+  /// may hold the whole consumed prefix).
   /// Returns false on any version/bounds/decode mismatch — the input is an
   /// untrusted snapshot file, and a failed restore leaves the analyzer
   /// unusable (discard it).
@@ -115,6 +120,10 @@ class OnlineAnalyzer final : public trace::MessageSink {
  private:
   /// The k-th (1-based) message of thread j, if present.
   [[nodiscard]] const trace::Message* find(ThreadId j, LocalSeq k) const;
+  /// Per-thread minimum and maximum of cut.k over the frontier (minK is 0
+  /// for an empty frontier).
+  void frontierBounds(std::vector<LocalSeq>& minK,
+                      std::vector<LocalSeq>& maxK) const;
 
   /// Advance whole levels while every needed next-event is available (or
   /// known absent because the trace ended).
@@ -138,10 +147,14 @@ class OnlineAnalyzer final : public trace::MessageSink {
   LatticeOptions opts_;
   StateArena states_;
   MonitorSetArena msets_;
-  /// buffered_[j][k] = thread j's k-th message (sparse until gaps fill).
+  /// buffered_[j][k] = thread j's k-th message (sparse until gaps fill),
+  /// for k >= retainedFrom_[j] only.
   std::vector<std::unordered_map<LocalSeq, trace::Message>> buffered_;
   /// Per-thread max frontier index (see consumedK()).
   std::vector<LocalSeq> consumedK_;
+  /// Per-thread min frontier index: messages below it were erased.
+  std::vector<LocalSeq> retainedFrom_;
+  /// Arrived messages above consumedK_, kept up to date incrementally.
   std::size_t pending_ = 0;
   bool ended_ = false;
   bool finished_ = false;

@@ -9,9 +9,12 @@
 #include <random>
 
 #include "../support/fixtures.hpp"
+#include "analysis/report.hpp"
 #include "logic/monitor.hpp"
 #include "logic/parser.hpp"
+#include "observer/checkpoint.hpp"
 #include "program/corpus.hpp"
+#include "trace/codec.hpp"
 
 namespace mpx::observer {
 namespace {
@@ -199,6 +202,238 @@ TEST(OnlineAnalyzer, RandomProgramsMatchBatch) {
         << "seed " << seed;
     EXPECT_EQ(online.stats().pathCount, batch.stats().pathCount);
     EXPECT_EQ(online.violations().empty(), batchViolations.empty());
+  }
+}
+
+/// Brute-force pending count: delivered messages beyond the consumption
+/// watermark.
+std::size_t recountPending(const OnlineAnalyzer& online,
+                           const std::vector<trace::Message>& delivered) {
+  std::size_t pending = 0;
+  for (const auto& m : delivered) {
+    const ThreadId j = m.event.thread;
+    if (m.clock[j] > online.consumedK()[j]) ++pending;
+  }
+  return pending;
+}
+
+TEST(OnlineAnalyzer, PendingCountMatchesRecountUnderShuffleAndBudget) {
+  // Shedding can drop the cut that held a thread's highest index; that
+  // thread's watermark then falls and its messages count as pending again.
+  // (Seed 8 has such a level.)
+  std::size_t sheddingRuns = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    program::corpus::RandomProgramOptions popts;
+    popts.threads = 3 + seed % 2;
+    popts.vars = 2;
+    popts.opsPerThread = 10;
+    program::RandomScheduler sched(seed * 3 + 2);
+    const auto c = observe(program::corpus::randomProgram(seed, popts), sched,
+                           {"g0", "g1"});
+    auto msgs = messagesInOrder(c.graph);
+    std::mt19937_64 rng(seed);
+    std::shuffle(msgs.begin(), msgs.end(), rng);
+
+    for (const std::size_t maxFrontier : {std::size_t{0}, std::size_t{2}}) {
+      LatticeOptions opts;
+      opts.maxFrontier = maxFrontier;
+      logic::SynthesizedMonitor mon(
+          logic::SpecParser(c.space).parse("historically g0 <= g1 + 6"));
+      OnlineAnalyzer online(c.space, c.prog.threadCount(), &mon, opts);
+      std::vector<trace::Message> delivered;
+      for (const auto& m : msgs) {
+        online.onMessage(m);
+        delivered.push_back(m);
+        ASSERT_EQ(online.pendingMessages(), recountPending(online, delivered))
+            << "seed " << seed << " maxFrontier " << maxFrontier
+            << " after " << delivered.size() << " messages";
+      }
+      online.endOfTrace();
+      ASSERT_TRUE(online.finished());
+      EXPECT_EQ(online.pendingMessages(), 0u);
+      if (online.stats().droppedNodes > 0) ++sheddingRuns;
+    }
+  }
+  EXPECT_GT(sheddingRuns, 0u) << "the budget arm never shed a node";
+}
+
+/// Message count per thread in a checkpoint blob's buffer section, whose
+/// byte range lands in `begin`/`end` (layout: OnlineAnalyzer::checkpoint).
+std::vector<std::uint64_t> bufferedPerThread(
+    const std::vector<std::uint8_t>& blob, std::size_t* begin = nullptr,
+    std::size_t* end = nullptr) {
+  ckpt::Reader r(blob);
+  (void)r.u8();  // version
+  const std::uint64_t threads = r.u64();
+  (void)r.boolean();  // ended
+  (void)r.boolean();  // finished
+  (void)r.u64();      // pending
+  for (std::uint64_t j = 0; j < threads; ++j) (void)r.u64();  // consumedK
+  if (begin != nullptr) *begin = blob.size() - r.remaining();
+  std::vector<std::uint64_t> counts;
+  for (std::uint64_t j = 0; j < threads; ++j) {
+    counts.push_back(r.u64());
+    for (std::uint64_t i = 0; i < counts.back(); ++i) {
+      (void)r.u64();  // k
+      std::vector<std::uint8_t> enc(r.u64());
+      EXPECT_TRUE(r.raw(enc.data(), enc.size()));
+    }
+  }
+  if (end != nullptr) *end = blob.size() - r.remaining();
+  EXPECT_TRUE(r.ok());
+  return counts;
+}
+
+/// Two threads taking strict turns: every message's clock covers the
+/// previous one, so the lattice is a single path and the frontier one cut.
+std::vector<trace::Message> alternatingPath(std::size_t n) {
+  std::vector<trace::Message> msgs;
+  std::uint64_t own[2] = {0, 0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const ThreadId t = static_cast<ThreadId>(i % 2);
+    trace::Message m;
+    m.event.kind = trace::EventKind::kInternal;
+    m.event.thread = t;
+    m.event.localSeq = ++own[t];
+    m.event.globalSeq = i;
+    m.clock = vc::VectorClock(2);
+    m.clock.set(t, own[t]);
+    m.clock.set(1 - t, own[1 - t]);
+    msgs.push_back(std::move(m));
+  }
+  return msgs;
+}
+
+TEST(OnlineAnalyzer, DuplicateOfCollectedMessageRejected) {
+  const auto msgs = alternatingPath(10);
+  OnlineAnalyzer online(StateSpace(), 2, nullptr);
+  for (const auto& m : msgs) online.onMessage(m);
+  // The first message left the buffer levels ago; a replay is still a
+  // duplicate, not a new event.
+  EXPECT_THROW(online.onMessage(msgs[0]), std::runtime_error);
+}
+
+TEST(OnlineAnalyzer, BufferStaysBoundedOnLongPathTrace) {
+  constexpr std::size_t kMessages = 4000;
+  auto msgs = alternatingPath(kMessages);
+  // Local disorder within windows of 32, as a network would deliver.
+  std::mt19937_64 rng(11);
+  for (std::size_t b = 0; b < msgs.size(); b += 32) {
+    std::shuffle(msgs.begin() + static_cast<std::ptrdiff_t>(b),
+                 msgs.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(b + 32, msgs.size())),
+                 rng);
+  }
+
+  OnlineAnalyzer online(StateSpace(), 2, nullptr);
+  std::uint64_t peak = 0;
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    online.onMessage(msgs[i]);
+    if (i % 97 != 0 && i + 1 != msgs.size()) continue;
+    ckpt::Writer w;
+    online.checkpoint(w);
+    const auto counts = bufferedPerThread(w.data());
+    const std::uint64_t buffered = counts[0] + counts[1];
+    // One consumed message per thread stays (the frontier cut's own
+    // event); everything else buffered is still pending.
+    ASSERT_LE(buffered, 2 + online.pendingMessages()) << "after " << i + 1;
+    peak = std::max(peak, buffered);
+  }
+  online.endOfTrace();
+  EXPECT_TRUE(online.finished());
+  EXPECT_EQ(online.levelsCompleted(), kMessages + 1);
+  EXPECT_LT(peak, 100u) << "buffer grew with the trace";
+}
+
+TEST(OnlineAnalyzer, RestoreFromCollectedAndFullBufferCheckpoints) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    program::corpus::RandomProgramOptions popts;
+    popts.threads = 3;
+    popts.vars = 2;
+    popts.opsPerThread = 10;
+    program::RandomScheduler sched(seed * 7 + 3);
+    const auto c = observe(program::corpus::randomProgram(seed, popts), sched,
+                           {"g0", "g1"});
+    auto msgs = messagesInOrder(c.graph);
+    std::mt19937_64 rng(seed + 100);
+    std::shuffle(msgs.begin(), msgs.end(), rng);
+    const std::string spec = "historically g0 <= g1 + 2";
+    const std::size_t threads = c.prog.threadCount();
+
+    logic::SynthesizedMonitor refMon(logic::SpecParser(c.space).parse(spec));
+    OnlineAnalyzer ref(c.space, threads, &refMon);
+    for (const auto& m : msgs) ref.onMessage(m);
+    ref.endOfTrace();
+    const std::string want = analysis::renderViolationReport(
+        c.space, ref.violations(), ref.stats(), ref.finished());
+
+    for (std::size_t cutAt = 1; cutAt < msgs.size(); cutAt += 3) {
+      logic::SynthesizedMonitor liveMon(
+          logic::SpecParser(c.space).parse(spec));
+      OnlineAnalyzer live(c.space, threads, &liveMon);
+      for (std::size_t i = 0; i < cutAt; ++i) live.onMessage(msgs[i]);
+      ckpt::Writer w;
+      live.checkpoint(w);
+      const std::vector<std::uint8_t> collected = w.take();
+
+      // The same checkpoint with every delivered message buffered, as an
+      // analyzer that never collects consumed messages writes it.
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      (void)bufferedPerThread(collected, &begin, &end);
+      ckpt::Writer full;
+      full.bytes(collected.data(), begin);
+      for (ThreadId j = 0; j < threads; ++j) {
+        std::vector<const trace::Message*> mine;
+        for (std::size_t i = 0; i < cutAt; ++i) {
+          if (msgs[i].event.thread == j) mine.push_back(&msgs[i]);
+        }
+        std::sort(mine.begin(), mine.end(), [j](const auto* a, const auto* b) {
+          return a->clock[j] < b->clock[j];
+        });
+        full.u64(mine.size());
+        for (const trace::Message* m : mine) {
+          full.u64(m->clock[j]);
+          std::vector<std::uint8_t> enc;
+          trace::BinaryCodec::encode(*m, enc);
+          full.u64(enc.size());
+          full.bytes(enc.data(), enc.size());
+        }
+      }
+      full.bytes(collected.data() + end, collected.size() - end);
+
+      // A pending count that disagrees with the buffer marks a corrupt
+      // snapshot (the count is kept incrementally from here on).
+      std::vector<std::uint8_t> corrupt = collected;
+      ++corrupt[1 + 8 + 2];  // after version, thread count, two flags
+      logic::SynthesizedMonitor badMon(logic::SpecParser(c.space).parse(spec));
+      OnlineAnalyzer rejected(c.space, threads, &badMon);
+      ckpt::Reader badReader(corrupt);
+      EXPECT_FALSE(rejected.restore(badReader)) << "seed " << seed;
+
+      for (const auto* blob : {&collected, &full.data()}) {
+        logic::SynthesizedMonitor mon(logic::SpecParser(c.space).parse(spec));
+        OnlineAnalyzer restored(c.space, threads, &mon);
+        ckpt::Reader r(*blob);
+        ASSERT_TRUE(restored.restore(r)) << "seed " << seed;
+        EXPECT_EQ(restored.pendingMessages(), live.pendingMessages());
+        // A restored analyzer writes the collected form either way.
+        ckpt::Writer again;
+        restored.checkpoint(again);
+        EXPECT_EQ(again.data(), collected)
+            << "seed " << seed << " cut at " << cutAt;
+        for (std::size_t i = cutAt; i < msgs.size(); ++i) {
+          restored.onMessage(msgs[i]);
+        }
+        restored.endOfTrace();
+        EXPECT_EQ(analysis::renderViolationReport(
+                      c.space, restored.violations(), restored.stats(),
+                      restored.finished()),
+                  want)
+            << "seed " << seed << " cut at " << cutAt
+            << (blob == &collected ? " (collected)" : " (full buffer)");
+      }
+    }
   }
 }
 

@@ -92,6 +92,25 @@ TEST(ThreadPool, LowestChunkIndexExceptionWins) {
   EXPECT_EQ(completed.load(), 2);
 }
 
+TEST(ThreadPool, ManyTinyLoopsBackToBack) {
+  // Each loop's completion state lives on the caller's stack.  The last
+  // chunk to finish must be done with it before parallelFor returns, or
+  // the next call reuses that stack under a worker still unlocking it.
+  ThreadPool pool(4);
+  std::size_t total = 0;
+  std::size_t expected = 0;
+  for (std::size_t round = 0; round < 5000; ++round) {
+    const std::size_t n = 1 + round % 8;
+    std::atomic<std::size_t> hits{0};
+    pool.parallelFor(n, [&](std::size_t b, std::size_t e, std::size_t) {
+      hits.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    total += hits.load();
+    expected += n;
+  }
+  EXPECT_EQ(total, expected);
+}
+
 TEST(ThreadPool, SubmitDeliversResultsAndExceptions) {
   ThreadPool pool(2);
   auto ok = pool.submit([] { return 6 * 7; });

@@ -12,12 +12,14 @@ namespace mpx::analysis {
 
 namespace {
 
-/// v2 (ISSUE 10): the config carries the daemon-side analysis plugin list
-/// and their blobs follow the spec plugins'.
-constexpr std::uint8_t kSessionCkptVersion = 2;
+/// v2: the config carries the daemon-side analysis plugin list and their
+/// blobs follow the spec plugins'.  v3: no dedup bitmaps (the analyzer's
+/// own state answers the dedup question); v2 blobs still restore.
+constexpr std::uint8_t kSessionCkptVersion = 3;
+constexpr std::uint8_t kBitmapCkptVersion = 2;
 
-/// A hostile own-clock index must not drive the dedup bitmap's allocation
-/// (same cap the wire layer enforces).
+/// Own-clock indices above this are rejected (same cap the wire layer
+/// enforces).
 constexpr LocalSeq kMaxLocalSeq = 1u << 24;
 
 void writeStringList(observer::ckpt::Writer& w,
@@ -69,10 +71,9 @@ AnalyzerSession::AnalyzerSession(Config cfg) : cfg_(std::move(cfg)) {
         space_, cfg_.threads, static_cast<observer::LatticeMonitor*>(nullptr),
         cfg_.lattice);
   }
-  seen_.assign(cfg_.threads, {});
 }
 
-AnalyzerSession::Ingest AnalyzerSession::ingest(const trace::Message& m,
+AnalyzerSession::Ingest AnalyzerSession::ingest(trace::Message m,
                                                 const char** error) {
   if (finished_) {
     *error = "events after the analysis finished";
@@ -88,20 +89,23 @@ AnalyzerSession::Ingest AnalyzerSession::ingest(const trace::Message& m,
     *error = "message own-clock out of range";
     return Ingest::kError;
   }
-  auto& seen = seen_[j];
-  if (k < seen.size() && seen[k]) return Ingest::kDuplicate;
-  try {
-    analyzer_->onMessage(m);
-  } catch (const std::exception&) {
+  if (analyzer_->hasMessage(j, k)) return Ingest::kDuplicate;
+  // An analyzer whose end of trace failed takes no more messages.
+  if (!streamError_.empty()) {
     *error = "message rejected by the analyzer";
     return Ingest::kError;
   }
   // Post-dedup message feed for the session's analysis plugins: each
   // message reaches them exactly once, in ingest order (they sort by
-  // globalSeq themselves — delivery order is not a linearization).
+  // globalSeq themselves — delivery order is not a linearization).  Fed
+  // before the analyzer takes the message over.
   if (bus_ != nullptr) bus_->dispatchMessage(m);
-  if (k >= seen.size()) seen.resize(k + 1, false);
-  seen[k] = true;
+  try {
+    analyzer_->onMessage(std::move(m));
+  } catch (const std::exception&) {
+    *error = "message rejected by the analyzer";
+    return Ingest::kError;
+  }
   return Ingest::kIngested;
 }
 
@@ -167,15 +171,6 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
   w.str(streamError_);
   w.u64(epoch_);
   w.u64(restoreCount_);
-  // Dedup bitmaps: the set indices per thread (sorted by construction).
-  for (const auto& seen : seen_) {
-    std::uint64_t count = 0;
-    for (const bool b : seen) count += b ? 1 : 0;
-    w.u64(count);
-    for (std::uint64_t k = 0; k < seen.size(); ++k) {
-      if (seen[static_cast<std::size_t>(k)]) w.u64(k);
-    }
-  }
   // The analyzer core, then one versioned blob per plugin (count is a
   // pure function of the config, so no explicit plugin count needed).
   analyzer_->checkpoint(w);
@@ -185,7 +180,10 @@ void AnalyzerSession::checkpoint(observer::ckpt::Writer& w) {
 
 std::unique_ptr<AnalyzerSession> AnalyzerSession::restore(
     observer::ckpt::Reader& r, std::size_t jobs) {
-  if (r.u8() != kSessionCkptVersion) return nullptr;
+  const std::uint8_t version = r.u8();
+  if (version != kSessionCkptVersion && version != kBitmapCkptVersion) {
+    return nullptr;
+  }
   Config cfg;
   cfg.threads = r.u32();
   if (!readStringList(r, cfg.specs) || !readStringList(r, cfg.handshakeSpecs) ||
@@ -236,16 +234,14 @@ std::unique_ptr<AnalyzerSession> AnalyzerSession::restore(
   s->streamError_ = r.str();
   s->epoch_ = r.u64();
   s->restoreCount_ = r.u64() + 1;
-  for (auto& seen : s->seen_) {
-    const std::uint64_t count = r.len(8);
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      const std::uint64_t k = r.u64();
-      if (k > kMaxLocalSeq) {
-        r.fail();
-        break;
+  if (version == kBitmapCkptVersion) {
+    // The v2 dedup bitmaps: per thread, the ingested indices.  The
+    // analyzer's restored state holds the same answer, so skip them.
+    for (std::uint32_t j = 0; j < s->cfg_.threads && r.ok(); ++j) {
+      const std::uint64_t count = r.len(8);
+      for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+        if (r.u64() > kMaxLocalSeq) r.fail();
       }
-      if (k >= seen.size()) seen.resize(static_cast<std::size_t>(k) + 1, false);
-      seen[static_cast<std::size_t>(k)] = true;
     }
   }
   if (!r.ok()) return nullptr;

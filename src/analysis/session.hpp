@@ -6,8 +6,9 @@
 // that analyzer needed from the daemon: the handshake-derived
 // configuration (threads, specs, tracked variables, VarTable), the
 // StateSpace, one SpecAnalysis plugin per property on one AnalysisBus, the
-// OnlineAnalyzer with its private StateArena/MonitorSetArena and budget,
-// the at-least-once dedup bitmaps, and the stream-completion bookkeeping.
+// OnlineAnalyzer with its private StateArena/MonitorSetArena and budget
+// (which also answers the at-least-once dedup question), and the
+// stream-completion bookkeeping.
 // The daemon routes each handshake to its session by (tenant, trace id)
 // and otherwise stays a transport.
 //
@@ -73,7 +74,7 @@ class AnalyzerSession {
 
   /// Validates and feeds one message.  On kError a static reason is left
   /// in `*error`.  Never throws.
-  Ingest ingest(const trace::Message& m, const char** error);
+  Ingest ingest(trace::Message m, const char** error);
 
   /// Counts one kEndOfTrace.  When the expected number has arrived the
   /// analyzer is finalized; an impossible finalization (gaps after an
@@ -125,8 +126,8 @@ class AnalyzerSession {
     return lastCheckpointLevel_;
   }
 
-  /// Serializes the whole session (config + dedup + analyzer + one blob
-  /// per plugin) and advances the epoch.
+  /// Serializes the whole session (config + analyzer + one blob per
+  /// plugin) and advances the epoch.
   void checkpoint(observer::ckpt::Writer& w);
 
   /// Rebuilds a session from a checkpoint() blob.  Returns null on any
@@ -148,9 +149,6 @@ class AnalyzerSession {
   std::vector<std::unique_ptr<observer::Analysis>> extras_;
   std::unique_ptr<observer::AnalysisBus> bus_;
   std::unique_ptr<observer::OnlineAnalyzer> analyzer_;
-  /// At-least-once dedup: seen_[thread][k] == the own-clock index k was
-  /// already ingested.
-  std::vector<std::vector<bool>> seen_;
   std::size_t streamsEnded_ = 0;
   bool finished_ = false;
   std::string streamError_;

@@ -41,41 +41,21 @@ struct InstrumentorMetrics {
 const vc::VectorClock Instrumentor::kZero{};
 
 void Instrumentor::reserve(std::size_t threads, std::size_t vars) {
-  if (!backendResolved_) {
-    // The selection point: kAuto resolves against the declared thread
-    // count, once, before any clock exists.  Clocks created lazily before
-    // any reserve() pin the backend to flat (width unknown).
-    backend_ = vc::resolveBackend(requestedBackend_, threads);
-    backendResolved_ = true;
-  }
-  if (vi_.size() < threads) {
-    const std::size_t old = vi_.size();
-    vi_.resize(threads, vc::Clock(backend_));
-    for (std::size_t t = old; t < threads; ++t) {
-      vi_[t].setOwner(static_cast<ThreadId>(t));
-    }
-  }
+  if (vi_.size() < threads) vi_.resize(threads);
   if (va_.size() < vars) {
-    va_.resize(vars, vc::Clock(backend_));
-    vw_.resize(vars, vc::Clock(backend_));
+    va_.resize(vars);
+    vw_.resize(vars);
   }
 }
 
 void Instrumentor::ensureThread(ThreadId t) {
-  if (t < vi_.size()) return;
-  backendResolved_ = true;  // too late for kAuto: stays flat if unresolved
-  const std::size_t old = vi_.size();
-  vi_.resize(static_cast<std::size_t>(t) + 1, vc::Clock(backend_));
-  for (std::size_t j = old; j < vi_.size(); ++j) {
-    vi_[j].setOwner(static_cast<ThreadId>(j));
-  }
+  if (t >= vi_.size()) vi_.resize(static_cast<std::size_t>(t) + 1);
 }
 
 void Instrumentor::ensureVar(VarId x) {
   if (x < va_.size()) return;
-  backendResolved_ = true;
-  va_.resize(static_cast<std::size_t>(x) + 1, vc::Clock(backend_));
-  vw_.resize(static_cast<std::size_t>(x) + 1, vc::Clock(backend_));
+  va_.resize(static_cast<std::size_t>(x) + 1);
+  vw_.resize(static_cast<std::size_t>(x) + 1);
 }
 
 void Instrumentor::onEvent(const trace::Event& e) {
@@ -91,10 +71,7 @@ void Instrumentor::onEvent(const trace::Event& e) {
   ++eventsProcessed_;
   const ThreadId i = e.thread;
   ensureThread(i);
-  vc::Clock& vi = vi_[i];
-  // Shadow-epoch tick (tree backend): before the event's joins, so every
-  // knowledge state this event publishes has a unique (thread, sclk) label.
-  vi.onEventStart();
+  vc::VectorClock& vi = vi_[i];
 
   // Step 1: if e is relevant then V_i[i] <- V_i[i] + 1.
   const bool relevant = relevance_.isRelevant(e);
@@ -111,15 +88,15 @@ void Instrumentor::onEvent(const trace::Event& e) {
       // Step 3 (writes and write-like sync events, §3.1):
       // V^w_x <- V^a_x <- V_i <- max{V^a_x, V_i}.
       noteJoin(vi.joinWith(va_[x]));
-      va_[x].assignFrom(vi);
-      vw_[x].assignFrom(vi);
+      va_[x] = vi;
+      vw_[x] = vi;
     }
   }
 
   // Step 4: if e is relevant then send message <e, i, V_i> to observer.
   if (relevant) {
     ++messagesEmitted_;
-    sink_->onMessage(trace::Message{e, vi.flat()});
+    sink_->onMessage(trace::Message{e, vi});
   }
 
   if constexpr (telemetry::kEnabled) {
@@ -131,15 +108,15 @@ void Instrumentor::onEvent(const trace::Event& e) {
 }
 
 const vc::VectorClock& Instrumentor::threadClock(ThreadId t) const {
-  return t < vi_.size() ? vi_[t].flat() : kZero;
+  return t < vi_.size() ? vi_[t] : kZero;
 }
 
 const vc::VectorClock& Instrumentor::accessClock(VarId x) const {
-  return x < va_.size() ? va_[x].flat() : kZero;
+  return x < va_.size() ? va_[x] : kZero;
 }
 
 const vc::VectorClock& Instrumentor::writeClock(VarId x) const {
-  return x < vw_.size() ? vw_[x].flat() : kZero;
+  return x < vw_.size() ? vw_[x] : kZero;
 }
 
 }  // namespace mpx::core

@@ -665,12 +665,14 @@ bool ObserverDaemon::handleEvents(Conn& conn, const Frame& frame,
   // Per-thread max own-clock index of this frame: the frame counts as
   // analyzed once the session's consumption watermark covers it.
   std::vector<LocalSeq> frameMaxK(session.config().threads, 0);
-  for (const trace::Message& m : messages) {
-    const analysis::AnalyzerSession::Ingest res = session.ingest(m, error);
+  for (trace::Message& m : messages) {
+    const ThreadId j = m.event.thread;
+    const LocalSeq k = m.clock[j];
+    const analysis::AnalyzerSession::Ingest res =
+        session.ingest(std::move(m), error);
     if (res == analysis::AnalyzerSession::Ingest::kError) return false;
     // ingest validated thread and own-clock on both non-error outcomes.
-    const ThreadId j = m.event.thread;
-    frameMaxK[j] = std::max(frameMaxK[j], m.clock[j]);
+    frameMaxK[j] = std::max(frameMaxK[j], k);
     if (res == analysis::AnalyzerSession::Ingest::kDuplicate) {
       ++duplicates_;
       ++stream.snap.duplicates;

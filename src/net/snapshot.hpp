@@ -4,8 +4,8 @@
 // each as a self-contained session blob (analysis/session.hpp), so a
 // restarted daemon resumes mid-trace where the checkpoint left it.  The
 // emitter side's at-least-once redelivery replays the gap between the
-// checkpointed watermark and the kill point; the session dedup bitmaps
-// drop everything at or below the watermark, so the resumed analysis is
+// checkpointed watermark and the kill point; each session's analyzer drops
+// every message it already holds or consumed, so the resumed analysis is
 // byte-identical to an uninterrupted run.
 //
 // File layout (little-endian):

@@ -192,7 +192,7 @@ bool decodeMessages(const std::uint8_t* data, std::size_t len,
                     std::vector<trace::Message>& out, const char** error) {
   std::size_t off = 0;
   while (off < len) {
-    const trace::DecodeResult r =
+    trace::DecodeResult r =
         trace::BinaryCodec::tryDecode(data + off, len - off);
     if (r.status != trace::DecodeStatus::kOk) {
       if (error != nullptr) {
@@ -202,7 +202,7 @@ bool decodeMessages(const std::uint8_t* data, std::size_t len,
       }
       return false;
     }
-    out.push_back(r.message);
+    out.push_back(std::move(r.message));
     off += r.consumed;
   }
   return true;
@@ -243,7 +243,7 @@ bool decodeEventsSparsePayload(const std::vector<std::uint8_t>& payload,
   trace::SparseClockCodec::FrameState st;  // frame-local by construction
   std::size_t off = 0;
   while (off < len) {
-    const trace::DecodeResult r =
+    trace::DecodeResult r =
         trace::SparseClockCodec::tryDecode(data + off, len - off, st);
     if (r.status != trace::DecodeStatus::kOk) {
       if (error != nullptr) {
@@ -253,7 +253,7 @@ bool decodeEventsSparsePayload(const std::vector<std::uint8_t>& payload,
       }
       return false;
     }
-    out.push_back(r.message);
+    out.push_back(std::move(r.message));
     off += r.consumed;
   }
   return true;

@@ -91,8 +91,10 @@ struct Cut {
   [[nodiscard]] std::string toString() const;
 };
 
+/// Deliberately not noexcept: libstdc++ then stores each node's hash in
+/// the node, so moving or rehashing a frontier never rehashes its cuts.
 struct CutHash {
-  std::size_t operator()(const Cut& c) const noexcept { return c.hash(); }
+  std::size_t operator()(const Cut& c) const { return c.hash(); }
 };
 
 /// Persistent (shared-suffix) path witness: the run that led to a node.

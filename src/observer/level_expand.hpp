@@ -50,6 +50,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -172,12 +173,20 @@ Frontier expandLevel(const Frontier& frontier, std::size_t threads,
   // is rebuilt in sorted order, not discovery order).  Sorting first makes
   // them a pure function of the lattice itself; it is also the same node
   // order AnalysisBus::dispatchLevel hands the plugins.
-  std::vector<const std::pair<const Cut, FrontierNode>*> items;
-  items.reserve(frontier.size());
-  for (const auto& kv : frontier) items.push_back(&kv);
-  std::sort(items.begin(), items.end(), [](const auto* a, const auto* b) {
-    return a->first.k < b->first.k;
-  });
+  // A one-node frontier (every level of a path lattice) is sorted as is.
+  using Item = const std::pair<const Cut, FrontierNode>*;
+  const Item single = frontier.size() == 1 ? &*frontier.begin() : nullptr;
+  std::vector<Item> sorted;
+  if (single == nullptr) {
+    sorted.reserve(frontier.size());
+    for (const auto& kv : frontier) sorted.push_back(&kv);
+    std::sort(sorted.begin(), sorted.end(), [](Item a, Item b) {
+      return a->first.k < b->first.k;
+    });
+  }
+  const std::span<const Item> items =
+      single != nullptr ? std::span<const Item>(&single, 1)
+                        : std::span<const Item>(sorted);
 
   const bool concurrent = pool != nullptr && pool->workers() > 1 &&
                           frontier.size() >= opts.parallel.minFrontier;

@@ -22,6 +22,7 @@ OnlineAnalyzer::OnlineAnalyzer(StateSpace space, std::size_t threads,
   buffered_.resize(threads);
   consumedK_.assign(threads, 0);
   retainedFrom_.assign(threads, 0);
+  nextPending_.assign(threads, nullptr);
   // Level 0.
   detail::FrontierNode init;
   init.state = states_.intern(GlobalState(space_.initialValues()));
@@ -102,7 +103,14 @@ const trace::Message* OnlineAnalyzer::find(ThreadId j, LocalSeq k) const {
   return it == buffered_[j].end() ? nullptr : &it->second;
 }
 
-void OnlineAnalyzer::onMessage(const trace::Message& m) {
+bool OnlineAnalyzer::hasMessage(ThreadId j, LocalSeq k) const {
+  if (j >= buffered_.size()) return false;
+  // Indices up to consumedK_[j] all arrived already (and some of them
+  // were collected), so a repeat of one of them is a duplicate too.
+  return k <= consumedK_[j] || buffered_[j].contains(k);
+}
+
+void OnlineAnalyzer::onMessage(trace::Message&& m) {
   if (ended_) {
     throw std::logic_error("OnlineAnalyzer: message after endOfTrace");
   }
@@ -118,13 +126,14 @@ void OnlineAnalyzer::onMessage(const trace::Message& m) {
         " beyond the declared thread count " +
         std::to_string(buffered_.size()));
   }
-  // Indices up to consumedK_[j] all arrived already (and some of them
-  // were collected), so a repeat of one of them is a duplicate too.
-  if (k <= consumedK_[j] || !buffered_[j].emplace(k, m).second) {
+  if (hasMessage(j, k)) {
     throw std::runtime_error("OnlineAnalyzer: duplicate message for thread " +
                              std::to_string(j) + " index " +
                              std::to_string(k));
   }
+  const trace::Message& stored =
+      buffered_[j].emplace(k, std::move(m)).first->second;
+  if (k == consumedK_[j] + 1) nextPending_[j] = &stored;
   ++pending_;
   if constexpr (telemetry::kEnabled) {
     ObserverMetrics::get().backlogHwm.recordMax(
@@ -146,9 +155,10 @@ void OnlineAnalyzer::endOfTrace() {
 
 bool OnlineAnalyzer::enabled(const Cut& cut, ThreadId j,
                              const trace::Message& m) const {
-  for (ThreadId o = 0; o < cut.k.size(); ++o) {
-    if (o == j) continue;
-    if (m.clock[o] > cut.k[o]) return false;
+  const auto clock = m.clock.components();
+  const std::size_t n = std::min(clock.size(), cut.k.size());
+  for (std::size_t o = 0; o < n; ++o) {
+    if (o != j && clock[o] > cut.k[o]) return false;
   }
   return true;
 }
@@ -160,8 +170,7 @@ bool OnlineAnalyzer::canExpand() const {
   bool anySuccessor = false;
   for (const auto& [cut, node] : frontier_) {
     for (ThreadId j = 0; j < cut.k.size(); ++j) {
-      const trace::Message* next = find(j, cut.k[j] + 1);
-      if (next != nullptr) {
+      if (nextAfter(cut, j) != nullptr) {
         anySuccessor = true;
         continue;
       }
@@ -187,7 +196,7 @@ void OnlineAnalyzer::expandOneLevel() {
   telemetry::ScopedTimer levelTimer(ObserverMetrics::get().levelNs);
   const auto nextMsg =
       [this](const Cut& cut, ThreadId j) -> const trace::Message* {
-    const trace::Message* m = find(j, cut.k[j] + 1);
+    const trace::Message* m = nextAfter(cut, j);
     if (m == nullptr || !enabled(cut, j, *m)) return nullptr;
     return m;
   };
@@ -242,12 +251,15 @@ void OnlineAnalyzer::expandOneLevel() {
   // as the frontier advances, up when budget shedding lowers a thread's
   // maximum and its messages become pending again.  The expansion above
   // held pointers into buffered_; nothing does any more.
-  std::vector<LocalSeq> minK;
-  std::vector<LocalSeq> maxK;
+  std::vector<LocalSeq>& minK = minKScratch_;
+  std::vector<LocalSeq>& maxK = maxKScratch_;
   frontierBounds(minK, maxK);
   for (ThreadId j = 0; j < buffered_.size(); ++j) {
-    pending_ += consumedK_[j];
-    pending_ -= maxK[j];
+    if (maxK[j] != consumedK_[j]) {
+      pending_ += consumedK_[j];
+      pending_ -= maxK[j];
+      nextPending_[j] = find(j, maxK[j] + 1);
+    }
     // Every next-level cut advances one of these, so the minimum never
     // decreases and no cut asks for a message below it again.
     // (j, minK[j]) itself stays: observedPathKey reads it.
@@ -255,7 +267,7 @@ void OnlineAnalyzer::expandOneLevel() {
       buffered_[j].erase(retainedFrom_[j]);
     }
   }
-  consumedK_ = std::move(maxK);
+  consumedK_.swap(maxK);
 
   // Flight-recorder breadcrumbs: one record per level, plus rung changes
   // and fresh violations (the post-mortem story of the run).
@@ -548,6 +560,7 @@ bool OnlineAnalyzer::restore(ckpt::Reader& r) {
     std::erase_if(buffered_[j],
                   [&](const auto& kv) { return kv.first < minK[j]; });
     retainedFrom_[j] = minK[j];
+    nextPending_[j] = find(j, maxK[j] + 1);
     for (const auto& [k, m] : buffered_[j]) pending += k > maxK[j] ? 1 : 0;
   }
   if (pending != pending_) return false;

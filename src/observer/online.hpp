@@ -60,7 +60,11 @@ class OnlineAnalyzer final : public trace::MessageSink {
 
   /// Feed one message (any arrival order).  Advances the lattice as far as
   /// the buffered messages permit.
-  void onMessage(const trace::Message& m) override;
+  void onMessage(const trace::Message& m) override {
+    onMessage(trace::Message(m));
+  }
+  /// Same, buffering `m` itself instead of a copy.
+  void onMessage(trace::Message&& m);
 
   /// Declare the stream complete: threads send nothing further.  Required
   /// to finish — a frontier cut at the end of a thread's stream is only
@@ -98,6 +102,11 @@ class OnlineAnalyzer final : public trace::MessageSink {
     return consumedK_;
   }
 
+  /// True iff thread j's k-th (1-based) message already arrived: folded
+  /// into the frontier (whether or not it was collected since) or still
+  /// buffered.  The exact duplicate test for at-least-once delivery.
+  [[nodiscard]] bool hasMessage(ThreadId j, LocalSeq k) const;
+
   /// Serializes the complete analyzer state — still-buffered messages, both
   /// intern arenas, the live frontier (with its witness-path DAG), stats
   /// and violations — so an identically-constructed analyzer can restore()
@@ -120,6 +129,12 @@ class OnlineAnalyzer final : public trace::MessageSink {
  private:
   /// The k-th (1-based) message of thread j, if present.
   [[nodiscard]] const trace::Message* find(ThreadId j, LocalSeq k) const;
+  /// Thread j's message after `cut`, if present.
+  [[nodiscard]] const trace::Message* nextAfter(const Cut& cut,
+                                                ThreadId j) const {
+    return cut.k[j] == consumedK_[j] ? nextPending_[j]
+                                     : find(j, cut.k[j] + 1);
+  }
   /// Per-thread minimum and maximum of cut.k over the frontier (minK is 0
   /// for an empty frontier).
   void frontierBounds(std::vector<LocalSeq>& minK,
@@ -154,6 +169,13 @@ class OnlineAnalyzer final : public trace::MessageSink {
   std::vector<LocalSeq> consumedK_;
   /// Per-thread min frontier index: messages below it were erased.
   std::vector<LocalSeq> retainedFrom_;
+  /// nextPending_[j] = thread j's message consumedK_[j] + 1 when it has
+  /// arrived, else null: the lookup every frontier cut at the watermark
+  /// makes, kept up to date instead of repeated per cut and level.
+  std::vector<const trace::Message*> nextPending_;
+  /// frontierBounds() outputs of the level step, kept to reuse capacity.
+  std::vector<LocalSeq> minKScratch_;
+  std::vector<LocalSeq> maxKScratch_;
   /// Arrived messages above consumedK_, kept up to date incrementally.
   std::size_t pending_ = 0;
   bool ended_ = false;

@@ -52,7 +52,7 @@
 #include "detect/race_detector.hpp"
 #include "trace/channel.hpp"
 #include "trace/var_table.hpp"
-#include "vc/clock.hpp"
+#include "vc/vector_clock.hpp"
 
 namespace mpx::runtime {
 
@@ -61,7 +61,7 @@ namespace mpx::runtime {
 /// (under the variable mutex of the event being processed).
 struct ThreadState {
   ThreadId id = 0;
-  vc::Clock vi;                  ///< V_i (backend chosen by the runtime)
+  vc::VectorClock vi;            ///< V_i
   LocalSeq nextLocal = 1;
   std::vector<VarId> heldLocks;  ///< lock VarIds currently held
 };
@@ -73,12 +73,6 @@ struct ThreadState {
 class ShardedThreadRegistry {
  public:
   ShardedThreadRegistry();
-
-  /// Clock backend newly registered threads get for V_i.  Must be set
-  /// before any thread registers (the Runtime constructor does).
-  void setClockBackend(vc::ClockBackend backend) noexcept {
-    backend_ = backend;
-  }
 
   /// State of the calling thread, registering it if new.  Thread-safe; the
   /// returned reference is stable for the registry's lifetime and cached
@@ -98,7 +92,6 @@ class ShardedThreadRegistry {
   std::array<Shard, kShards> shards_;
   std::atomic<ThreadId> next_{0};
   std::uint64_t generation_;  ///< process-unique key for the TLS cache
-  vc::ClockBackend backend_ = vc::ClockBackend::kFlat;
 };
 
 class SharedVar;
@@ -113,12 +106,7 @@ class Runtime {
   /// serialized (the sink need not be thread-safe); each thread's messages
   /// arrive in its program order, cross-thread interleaving follows the
   /// total order M.
-  ///
-  /// `backend` selects the MVC representation for V_i / V^a_x / V^w_x.
-  /// The runtime's thread count is dynamic, so kAuto resolves to flat
-  /// here; pass vc::ClockBackend::kTree explicitly for wide programs.
-  explicit Runtime(trace::MessageSink& sink,
-                   vc::ClockBackend backend = vc::ClockBackend::kAuto);
+  explicit Runtime(trace::MessageSink& sink);
 
   /// Declares a shared variable.  Thread-safe; idempotent per name.
   SharedVar declare(const std::string& name, Value initial = 0);
@@ -182,8 +170,8 @@ class Runtime {
   struct VarState {
     std::mutex mu;
     Value value = 0;
-    vc::Clock va;  ///< V^a_x
-    vc::Clock vw;  ///< V^w_x
+    vc::VectorClock va;  ///< V^a_x
+    vc::VectorClock vw;  ///< V^w_x
     std::uint64_t contended = 0;  ///< contended acquisitions (under mu)
   };
 
@@ -208,7 +196,6 @@ class Runtime {
   /// relevant set).  Event paths hold it shared; declarations hold it
   /// uniquely.  Never acquired after a stripe mutex.
   mutable std::shared_mutex structMu_;
-  vc::ClockBackend clockBackend_;  ///< resolved backend for every MVC
   trace::VarTable vars_;
   std::deque<VarState> varStates_;  ///< by VarId; deque: stable references
   std::unordered_set<VarId> relevant_;

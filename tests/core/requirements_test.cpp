@@ -74,6 +74,13 @@ TEST_P(RequirementsSweep, MvcsMatchTheSpecification) {
       }
     }
   }
+  if (nThreads > vc::VectorClock::kInlineComponents) {
+    bool spilled = false;
+    for (ThreadId i = 0; i < nThreads; ++i) {
+      spilled = spilled || !instr.threadClock(i).isInline();
+    }
+    EXPECT_TRUE(spilled) << "no thread clock left the inline buffer";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -85,7 +92,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{5, 3, 2, 1, false},
                       SweepCase{6, 11, 3, 3, true},
                       SweepCase{7, 13, 4, 2, true},
-                      SweepCase{8, 17, 2, 4, true}),
+                      SweepCase{8, 17, 2, 4, true},
+                      // Wider than the inline buffer: the heap-spilled
+                      // VectorClock path.
+                      SweepCase{9, 19, 9, 3, true},
+                      SweepCase{10, 23, 16, 4, true},
+                      SweepCase{11, 29, 33, 4, true}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       const SweepCase& c = info.param;
       return "p" + std::to_string(c.programSeed) + "s" +
